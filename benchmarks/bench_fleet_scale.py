@@ -13,6 +13,11 @@ asserts identical cover selections (same windows, same assignments) and
 per-device uptime totals within 1e-9. At 10^5 devices the fast path
 must complete plan+execute at least 10x faster.
 
+A second test runs the registered ``paper-baseline`` scenario at 10^5
+devices through ``run_scenario`` in a fresh interpreter and gates its
+memory: peak RSS below 600 MB and at most 4.0·10^6 sweep intervals (a
+deterministic counter, not a wall time).
+
 Results are persisted as ``BENCH_fleet_scale.json`` (see
 ``conftest.write_bench_artifact``). Tune with
 ``REPRO_BENCH_FLEET_SIZES=1000,10000,...`` — the >=10x assertion only
@@ -21,8 +26,13 @@ applies to sizes >= 100000, so CI can run a scaled-down sweep.
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import emit, write_bench_artifact
@@ -181,3 +191,68 @@ def test_a9_fleet_scale_fast_path(capsys):
             )
         ),
     )
+
+
+#: Fleet size and gates of the registered paper-baseline memory run.
+PAPER_BASELINE_DEVICES = 100_000
+MAX_PEAK_RSS_MB = 600.0
+MAX_SWEEP_INTERVALS = 4_000_000
+
+#: Child program: one serial paper-baseline run, counting the intervals
+#: the incremental sweep builds, then reporting its own peak RSS.
+_PAPER_BASELINE_PROGRAM = textwrap.dedent(
+    """
+    import json, resource, sys, time
+    import repro.setcover.incremental as incremental
+    from repro.scenarios.registry import scenario
+    from repro.scenarios.runner import run_scenario
+
+    intervals = 0
+    build = incremental.coverage_intervals
+
+    def counting(*args, **kwargs):
+        global intervals
+        result = build(*args, **kwargs)
+        intervals += int(result[0].size)
+        return result
+
+    incremental.coverage_intervals = counting
+    spec = scenario("paper-baseline").with_overrides(
+        n_devices=int(sys.argv[1]), n_runs=1
+    )
+    t0 = time.perf_counter()
+    run_scenario(spec, seed=1)
+    wall_s = time.perf_counter() - t0
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps(
+        {"wall_s": wall_s, "peak_rss_mb": peak_kb / 1024,
+         "sweep_intervals": intervals}
+    ))
+    """
+)
+
+
+def test_paper_baseline_1e5_bounded_memory(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _PAPER_BASELINE_PROGRAM,
+         str(PAPER_BASELINE_DEVICES)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    record = json.loads(completed.stdout.strip().splitlines()[-1])
+    record["n_devices"] = PAPER_BASELINE_DEVICES
+    path = write_bench_artifact(
+        "fleet_scale", {"paper_baseline_run_scenario": record}, merge=True
+    )
+    emit(
+        capsys,
+        f"paper-baseline run_scenario at {PAPER_BASELINE_DEVICES} devices: "
+        f"{record['wall_s']:.1f}s, peak RSS {record['peak_rss_mb']:.0f} MB, "
+        f"{record['sweep_intervals']} sweep intervals ({path})",
+    )
+    assert record["sweep_intervals"] <= MAX_SWEEP_INTERVALS
+    assert record["peak_rss_mb"] < MAX_PEAK_RSS_MB

@@ -68,15 +68,21 @@ def emit(capsys, text: str) -> None:
         print(text)
 
 
-def write_bench_artifact(name: str, payload: Dict[str, Any]) -> Path:
+def write_bench_artifact(
+    name: str, payload: Dict[str, Any], merge: bool = False
+) -> Path:
     """Persist one benchmark's measurements as ``BENCH_<name>.json``.
 
     The directory is ``REPRO_BENCH_ARTIFACT_DIR`` when set (created if
-    missing), the current working directory otherwise. Returns the path
+    missing), the current working directory otherwise. With ``merge``
+    the payload's keys are added to an existing artifact instead of
+    replacing it, so several tests can share one file. Returns the path
     written so callers can report it.
     """
     directory = Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
+    if merge and path.exists():
+        payload = {**json.loads(path.read_text()), **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

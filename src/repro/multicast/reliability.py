@@ -28,6 +28,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.multicast.payload import DEFAULT_SEGMENT_BYTES, FirmwareImage
 
+#: Loss draws per block in :func:`simulate_repair_rounds` (whole rows,
+#: at least one): bounds the float64 scratch to ~2 MB per block.
+REPAIR_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
@@ -115,6 +119,10 @@ def simulate_repair_rounds(
     # missing[d] = set of segment indices device d still lacks.
     missing = np.ones((n_devices, n_segments), dtype=bool)
     to_send = np.ones(n_segments, dtype=bool)
+    # Loss draws are made a row block at a time, in the same C-order
+    # stream a single (n_devices, n_segments) draw would consume, so
+    # the outcome and every later draw from ``rng`` are unchanged.
+    block_rows = max(1, REPAIR_BLOCK_ELEMENTS // n_segments)
     segments_sent = 0
     per_round: List[int] = []
     missing_per_round: List[int] = []
@@ -123,15 +131,21 @@ def simulate_repair_rounds(
         rounds += 1
         per_round.append(int(to_send.sum()))
         segments_sent += int(to_send.sum())
-        # Every device listening loses each sent segment independently.
-        receive = rng.random((n_devices, n_segments)) >= (
-            config.segment_loss_probability
-        )
-        delivered = to_send[None, :] & receive
-        missing &= ~delivered
-        missing_per_round.append(int(missing.sum()))
-        # Union of NACKs drives the next round.
-        to_send = missing.any(axis=0)
+        unsent = ~to_send
+        nacks = np.zeros(n_segments, dtype=bool)
+        still_missing = 0
+        for lo in range(0, n_devices, block_rows):
+            rows = missing[lo : lo + block_rows]
+            # Every device listening loses each sent segment
+            # independently; a segment stays missing if it was lost or
+            # not sent this round.
+            lost = rng.random(rows.shape) < config.segment_loss_probability
+            rows &= lost | unsent
+            still_missing += int(np.count_nonzero(rows))
+            # Union of NACKs drives the next round.
+            nacks |= rows.any(axis=0)
+        missing_per_round.append(still_missing)
+        to_send = nacks
 
     return RepairOutcome(
         rounds=rounds,

@@ -10,9 +10,18 @@ only the covered devices' intervals are subtracted from the sweep (a
 boolean compaction), and the next round's maximum is a single running
 sum over the surviving events.
 
+Devices sharing a ``(phase, period)`` pair have identical PO trains and
+hence identical covering intervals, so the sweep is built over
+*buckets* of such devices: one representative's intervals per bucket,
+each event weighted by the bucket's member count. A window covers
+either every member of a bucket or none, so buckets are stabbed and
+retired whole and only the stabbed buckets are expanded into device
+indices. Interval count and sweep memory scale with the number of
+distinct trains, not the fleet size.
+
 Per-round cost drops from ``O(n + E log E)`` to ``O(E_t)`` where ``E_t``
-counts only the surviving events — and because the surviving event
-multiset is exactly what the reference would rebuild from scratch, the
+counts only the surviving events — and because the weighted running sum
+equals the reference's unit-step count at every event position, the
 segment positions, maxima, tie candidates and therefore every selection
 (with or without an ``rng``) are *identical*, not merely equivalent.
 """
@@ -26,6 +35,9 @@ import numpy as np
 from repro.errors import SetCoverError
 from repro.setcover.windows import coverage_intervals
 from repro.timebase import FrameWindow
+
+#: Largest value the narrowed (int32) sweep tables can hold.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class IncrementalSweep:
@@ -46,37 +58,63 @@ class IncrementalSweep:
     ) -> None:
         phases = np.asarray(phases, dtype=np.int64)
         periods = np.asarray(periods, dtype=np.int64)
+        if horizon_start < -_INT32_MAX or horizon_end > _INT32_MAX:
+            raise SetCoverError(
+                f"horizon [{horizon_start}, {horizon_end}) does not fit the "
+                f"int32 sweep tables"
+            )
+        n = phases.size
+        # Group devices by (period, phase). The stable lexsort keeps
+        # each bucket's members in ascending fleet order.
+        members = np.lexsort((phases, periods))
+        sorted_phases = phases[members]
+        sorted_periods = periods[members]
+        is_head = np.ones(n, dtype=bool)
+        is_head[1:] = (sorted_phases[1:] != sorted_phases[:-1]) | (
+            sorted_periods[1:] != sorted_periods[:-1]
+        )
+        heads = np.nonzero(is_head)[0]
+        sizes = np.diff(heads, append=n)
+        if max(heads.size, int(sizes.max(initial=0))) > _INT32_MAX:
+            raise SetCoverError(
+                f"{heads.size} (phase, period) buckets do not fit the int32 "
+                f"sweep tables"
+            )
         starts, ends, owners = coverage_intervals(
-            phases, periods, window_len, horizon_start, horizon_end
+            sorted_phases[heads], sorted_periods[heads], window_len,
+            horizon_start, horizon_end,
         )
         self._window_len = window_len
-        # Interval table, for the "who does window s cover?" stab query.
-        self._int_starts = starts
-        self._int_ends = ends
-        self._int_owners = owners
-        # Event list: +1 at each interval start, -1 at each end, sorted
-        # once by (position, delta) — the same order the reference
-        # establishes per round, and segment counts are invariant under
-        # permutation of equal-key events.
-        positions = np.concatenate([starts, ends])
-        deltas = np.concatenate(
-            [np.ones(starts.size, np.int64), -np.ones(ends.size, np.int64)]
-        )
-        owners2 = np.concatenate([owners, owners])
-        # Single-key sort: -1 events before +1 at equal positions, same
-        # order lexsort((deltas, positions)) yields. Events with equal
-        # (position, delta) are interchangeable for the running count,
-        # so an unstable single-key argsort is safe and faster.
-        order = np.argsort(positions * 2 + (deltas > 0))
+        self._remaining = n
+        # Bucket tables: members[heads[b] : heads[b] + sizes[b]] are the
+        # fleet indices of bucket b.
+        self._members = members
+        self._heads = heads
+        self._sizes = sizes.astype(np.int32)
+        self._alive = np.ones(heads.size, dtype=bool)
+        # Interval table, for the "which buckets does window s cover?"
+        # stab query.
+        self._int_starts = starts.astype(np.int32)
+        self._int_ends = ends.astype(np.int32)
+        self._int_owners = owners.astype(np.int32)
+        # Event list: +size at each interval start, -size at each end,
+        # sorted once by position. Segment counts are read at the last
+        # event of each position group, where the running sum covers
+        # the whole group whatever its internal order, so an unstable
+        # single-key argsort yields the reference's counts.
+        positions = np.concatenate([self._int_starts, self._int_ends])
+        weights = self._sizes[self._int_owners]
+        deltas = np.concatenate([weights, -weights])
+        owners2 = np.concatenate([self._int_owners, self._int_owners])
+        order = np.argsort(positions)
         self._positions = positions[order]
         self._deltas = deltas[order]
         self._owners = owners2[order]
-        self._alive = np.ones(phases.size, dtype=bool)
 
     @property
     def remaining(self) -> int:
         """Devices not yet covered by any selection."""
-        return int(self._alive.sum())
+        return self._remaining
 
     def select(
         self, rng: Optional[np.random.Generator] = None
@@ -91,7 +129,7 @@ class IncrementalSweep:
         """
         if self._positions.size == 0:
             raise SetCoverError("no device has a PO inside the search horizon")
-        running = np.cumsum(self._deltas)
+        running = np.cumsum(self._deltas, dtype=np.int64)
         is_last = np.empty(self._positions.size, dtype=bool)
         is_last[:-1] = self._positions[:-1] != self._positions[1:]
         is_last[-1] = True
@@ -107,15 +145,23 @@ class IncrementalSweep:
         s = int(seg_pos[pick])
 
         stabbed = (self._int_starts <= s) & (s < self._int_ends)
-        covered = np.sort(self._int_owners[stabbed])
-        if covered.size != best:
+        buckets = self._int_owners[stabbed]
+        sizes = self._sizes[buckets].astype(np.int64)
+        total = int(sizes.sum())
+        if total != best:
             raise SetCoverError(
                 f"sweep inconsistency: counted {best} devices but window at "
-                f"{s} covers {covered.size}"
+                f"{s} covers {total}"
             )
+        # Ragged gather of the stabbed buckets' member runs.
+        run_offsets = np.cumsum(sizes) - sizes
+        slots = np.repeat(self._heads[buckets] - run_offsets, sizes)
+        slots += np.arange(total)
+        covered = np.sort(self._members[slots])
 
-        # Subtract the covered devices' intervals from both tables.
-        self._alive[covered] = False
+        # Retire the stabbed buckets from both tables.
+        self._remaining -= total
+        self._alive[buckets] = False
         keep_events = self._alive[self._owners]
         self._positions = self._positions[keep_events]
         self._deltas = self._deltas[keep_events]

@@ -539,7 +539,10 @@ class FusedScheduler:
             submit_top(items)
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
+                # Handle a completion batch in submission order, not in
+                # the set's hash order, so partials stream
+                # deterministically.
+                for future in [f for f in pending if f in done]:
                     slot = pending.pop(future)
                     value = future.result()
                     if slot[0] == "top":

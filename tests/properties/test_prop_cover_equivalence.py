@@ -3,7 +3,8 @@
 The incremental greedy (:mod:`repro.setcover.incremental`) must pick
 *identical* windows to the reference per-round re-sweep — same starts,
 same assignments, same tie-break draws for any given RNG stream — on
-randomized fleets up to 10^4 devices. On small fleets the window greedy
+randomized fleets up to 10^4 devices, including fleets where many
+devices share one ``(phase, period)`` bucket. On small fleets the window greedy
 is additionally cross-checked against the generic
 :func:`~repro.setcover.greedy.greedy_set_cover` over the explicit set
 system of candidate window starts (both break ties earliest-first, so
@@ -19,6 +20,9 @@ from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
 from repro.setcover.windows import coverage_intervals
 
 PERIOD_CHOICES = (2048, 4096, 8192, 16384)
+#: Short DRX cycles (dense PO trains, below the longest windows) mixed
+#: with eDRX cycles.
+MIXED_PERIOD_CHOICES = (128, 256, 1024, 2048, 16384, 65536)
 
 
 def _random_fleet(rng: np.random.Generator, n: int):
@@ -42,6 +46,39 @@ def fleets(draw, max_devices=30):
     )
     phases = [draw(st.integers(min_value=0, max_value=p - 1)) for p in periods]
     return np.array(phases, dtype=np.int64), np.array(periods, dtype=np.int64)
+
+
+@st.composite
+def duplicated_fleets(draw, max_buckets=4, max_devices=60):
+    """Fleets drawn from a handful of (phase, period) pairs, so most
+    devices share their PO train with others."""
+    n_buckets = draw(st.integers(min_value=1, max_value=max_buckets))
+    periods = draw(
+        st.lists(
+            st.sampled_from(MIXED_PERIOD_CHOICES),
+            min_size=n_buckets, max_size=n_buckets,
+        )
+    )
+    phases = [draw(st.integers(min_value=0, max_value=p - 1)) for p in periods]
+    members = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_buckets - 1),
+            min_size=1, max_size=max_devices,
+        )
+    )
+    members = np.array(members)
+    return (
+        np.array(phases, dtype=np.int64)[members],
+        np.array(periods, dtype=np.int64)[members],
+    )
+
+
+def _assert_sorted_fleet_indices(cover, n):
+    for members in cover.assignments:
+        assert members.dtype == np.int64
+        assert np.all(np.diff(members) > 0)
+    every = np.concatenate(cover.assignments)
+    np.testing.assert_array_equal(np.sort(every), np.arange(n))
 
 
 class TestIncrementalMatchesReference:
@@ -75,6 +112,46 @@ class TestIncrementalMatchesReference:
             np.random.default_rng(seed), method="incremental",
         )
         _assert_identical_covers(ref, inc)
+
+    @given(
+        duplicated_fleets(),
+        st.integers(min_value=10, max_value=2048),
+        st.one_of(st.none(), st.integers(0, 2**31)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_duplicated_buckets(self, fleet, window_len, seed):
+        """Heavy (phase, period) duplication over short and eDRX cycles:
+        bucketed selections equal the per-device reference."""
+        phases, periods = fleet
+        horizon = max(2 * int(periods.max()), window_len)
+        covers = [
+            greedy_window_cover(
+                phases, periods, window_len, 0, horizon,
+                None if seed is None else np.random.default_rng(seed),
+                method=method,
+            )
+            for method in ("reference", "incremental")
+        ]
+        _assert_identical_covers(*covers)
+        _assert_sorted_fleet_indices(covers[1], phases.size)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("period", [256, 16384])
+    def test_single_bucket_fleet(self, seed, period):
+        """Every device shares one PO train: one window covers them all."""
+        phases = np.full(500, period // 3, dtype=np.int64)
+        periods = np.full(500, period, dtype=np.int64)
+        covers = [
+            greedy_window_cover(
+                phases, periods, 512, 0, 2 * period,
+                None if seed is None else np.random.default_rng(seed),
+                method=method,
+            )
+            for method in ("reference", "incremental")
+        ]
+        _assert_identical_covers(*covers)
+        assert covers[1].n_transmissions == 1
+        _assert_sorted_fleet_indices(covers[1], 500)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_devices", [1_000, 10_000])

@@ -14,7 +14,9 @@ from repro.multicast.coordination import (
     partition_indices,
 )
 from repro.multicast.payload import FirmwareImage
+import repro.multicast.reliability as reliability
 from repro.multicast.reliability import (
+    RepairOutcome,
     ReliabilityConfig,
     expected_rounds,
     simulate_repair_rounds,
@@ -296,3 +298,85 @@ class TestReliability:
             simulate_repair_rounds(image, 0, ReliabilityConfig(), rng)
         with pytest.raises(ConfigurationError):
             expected_rounds(10, 10, 1.5)
+
+
+def _one_shot_repair(image, n_devices, config, rng):
+    """Repair rounds with one ``(n_devices, n_segments)`` draw per round:
+    the unblocked loop the production code must reproduce bit for bit."""
+    n_segments = image.segment_count(config.segment_bytes)
+    missing = np.ones((n_devices, n_segments), dtype=bool)
+    to_send = np.ones(n_segments, dtype=bool)
+    segments_sent = 0
+    per_round, missing_per_round = [], []
+    rounds = 0
+    while to_send.any() and rounds < config.max_rounds:
+        rounds += 1
+        per_round.append(int(to_send.sum()))
+        segments_sent += int(to_send.sum())
+        receive = rng.random((n_devices, n_segments)) >= (
+            config.segment_loss_probability
+        )
+        missing &= ~(to_send[None, :] & receive)
+        missing_per_round.append(int(missing.sum()))
+        to_send = missing.any(axis=0)
+    return RepairOutcome(
+        rounds=rounds,
+        segments_sent=segments_sent,
+        devices_complete=int((~missing.any(axis=1)).sum()),
+        residual_missing=int(missing.sum()),
+        base_segments=n_segments,
+        segments_per_round=tuple(per_round),
+        missing_per_round=tuple(missing_per_round),
+    )
+
+
+class TestBlockedRepairDraws:
+    """Row-blocked loss draws equal one full-matrix draw per round."""
+
+    @pytest.mark.parametrize("loss", [0.0, 0.15, 0.9])
+    @pytest.mark.parametrize(
+        "n_devices, size_bytes, block_elements",
+        [
+            (37, 1_000, 64),  # 10 segments, 6-row blocks: ragged tail
+            (5, 1_000, 32),  # 3-row blocks; few devices, so some
+            # segments draw no NACK and rounds resend a strict subset
+            (5, 5_000, 16),  # 50 segments > block: one row per block
+            (300, 100_000, 1 << 18),  # production block size
+        ],
+    )
+    @pytest.mark.parametrize("max_rounds", [1, 2, 10])
+    def test_matches_one_shot_draws(
+        self, monkeypatch, loss, n_devices, size_bytes, block_elements,
+        max_rounds,
+    ):
+        monkeypatch.setattr(
+            reliability, "REPAIR_BLOCK_ELEMENTS", block_elements
+        )
+        image = FirmwareImage(name="fw", version="1", size_bytes=size_bytes)
+        config = ReliabilityConfig(
+            segment_bytes=100,
+            segment_loss_probability=loss,
+            max_rounds=max_rounds,
+        )
+        blocked_rng = np.random.default_rng(11)
+        one_shot_rng = np.random.default_rng(11)
+        blocked = simulate_repair_rounds(image, n_devices, config, blocked_rng)
+        one_shot = _one_shot_repair(image, n_devices, config, one_shot_rng)
+        assert blocked == one_shot
+        assert (
+            blocked_rng.bit_generator.state
+            == one_shot_rng.bit_generator.state
+        )
+
+    def test_max_rounds_cutoff_leaves_residual(self, monkeypatch):
+        monkeypatch.setattr(reliability, "REPAIR_BLOCK_ELEMENTS", 64)
+        image = FirmwareImage(name="fw", version="1", size_bytes=1_000)
+        config = ReliabilityConfig(
+            segment_bytes=100, segment_loss_probability=0.9, max_rounds=2
+        )
+        outcome = simulate_repair_rounds(
+            image, 37, config, np.random.default_rng(3)
+        )
+        assert outcome.rounds == 2
+        assert outcome.residual_missing > 0
+        assert outcome.missing_per_round[-1] == outcome.residual_missing

@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import SetCoverError
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
+import repro.setcover.incremental as incremental
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.windows import best_window, coverage_intervals
 
 
@@ -105,6 +107,49 @@ class TestGreedyWindowCover:
     def test_short_horizon_rejected(self, rng):
         with pytest.raises(SetCoverError):
             greedy_window_cover(np.array([0]), np.array([2048]), 10, 0, 2048, rng)
+
+
+class TestIncrementalSweep:
+    def test_buckets_share_one_interval_train(self):
+        # Three distinct (phase, period) pairs among eight devices.
+        phases = np.array([5, 900, 5, 5, 900, 5, 40, 900])
+        periods = np.array([2048, 2048, 2048, 2048, 2048, 2048, 4096, 2048])
+        sweep = IncrementalSweep(phases, periods, 100, 0, 8192)
+        _, _, owners = coverage_intervals(phases, periods, 100, 0, 8192)
+        assert sweep._int_starts.size < owners.size
+        assert sweep.remaining == 8
+        start, covered = sweep.select()
+        # Phases 5 and 40 fall in one 100-frame window.
+        np.testing.assert_array_equal(covered, [0, 2, 3, 5, 6])
+        assert covered.dtype == np.int64
+        assert sweep.remaining == 3
+
+    def test_forged_inconsistency_raises(self):
+        phases = np.array([5, 900, 5])
+        periods = np.full(3, 2048)
+        sweep = IncrementalSweep(phases, periods, 100, 0, 4096)
+        # Forge the interval table so no bucket is stabbed where the
+        # running count sees devices.
+        sweep._int_ends = sweep._int_starts.copy()
+        with pytest.raises(SetCoverError, match="sweep inconsistency"):
+            sweep.select()
+
+    def test_horizon_beyond_int32_rejected(self):
+        horizon_end = 2**31 + 4096
+        with pytest.raises(SetCoverError, match="int32"):
+            IncrementalSweep(
+                np.array([0]), np.array([2048]), 10, horizon_end - 8192,
+                horizon_end,
+            )
+
+    def test_bucket_count_beyond_int32_rejected(self, monkeypatch):
+        # Shrink the int32 bound so a small fleet overflows it: six
+        # distinct buckets against a bound of five, horizon within it.
+        monkeypatch.setattr(incremental, "_INT32_MAX", 5)
+        phases = np.arange(6)
+        periods = np.full(6, 2)
+        with pytest.raises(SetCoverError, match="buckets"):
+            IncrementalSweep(phases, periods, 1, 0, 4)
 
 
 class TestGenericGreedy:
