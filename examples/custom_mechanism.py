@@ -16,7 +16,8 @@ Run:
     python examples/custom_mechanism.py
 """
 
-from typing import List, Optional
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -30,11 +31,10 @@ from repro import (
     OnDemandMulticastService,
     PAPER_DEFAULT_MIXTURE,
     PlanningContext,
-    WakeMethod,
     generate_fleet,
 )
-from repro.core.da_sc import DaScMechanism as _DaSc
-from repro.core.plan import DeviceDirective
+from repro.core.plan import PAGED_CODE, DirectiveArrays
+from repro.grouping.policy import PlannedGroup
 from repro.setcover.greedy import greedy_window_cover
 
 
@@ -54,6 +54,7 @@ class BudgetedHybridMechanism(GroupingMechanism):
     def __init__(self, budget: int = 10) -> None:
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        super().__init__()
         self._budget = budget
         self._dasc = DaScMechanism()
 
@@ -77,66 +78,45 @@ class BudgetedHybridMechanism(GroupingMechanism):
             - {int(i) for _w, members in kept for i in members}
         )
 
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        entries = sorted(kept, key=lambda pair: pair[0].last_frame)
-        for index, (window, members) in enumerate(entries):
-            transmission = self._build_transmission(
-                index, window.last_frame, [int(i) for i in members],
-                fleet, context.payload_bytes,
+        # Directives are columns: one row per device, built with whole-
+        # group array expressions by the mechanism base class helpers.
+        groups = [
+            PlannedGroup(members=members, window=window) for window, members in kept
+        ]
+        parts, members, sizes, frames = [], [], [], []
+        if groups:
+            groups, rows, tx, _start, _last, page = self._paged_rows(
+                fleet, context, groups
             )
-            transmissions.append(transmission)
-            for device_index in transmission.device_indices:
-                device = fleet[device_index]
-                page = self._page_frame_in_window(
-                    device.schedule, window.start, window.last_frame,
-                    context.connect_slack_frames(device),
-                )
-                directives.append(
-                    DeviceDirective(
-                        device_index=device_index,
-                        transmission_index=index,
-                        method=WakeMethod.PAGED_IN_WINDOW,
-                        page_frame=page,
-                        connect_frame=page,
-                    )
-                )
+            parts.append(
+                DirectiveArrays(rows, tx, np.full(rows.size, PAGED_CODE), page, page)
+            )
+            members.append(rows)
+            sizes.extend(group.size for group in groups)
+            frames.extend(group.window.last_frame for group in groups)
 
         if tail_devices:
             # Delegate the tail to DA-SC on a subfleet, then re-index.
-            tail_fleet = fleet.subset(tail_devices)
-            tail_plan = self._dasc.plan(tail_fleet, context, rng)
-            tail_tx = tail_plan.transmissions[0]
-            tail_index = len(transmissions)
-            transmissions.append(
-                self._build_transmission(
-                    tail_index, tail_tx.frame, tail_devices, fleet,
-                    context.payload_bytes,
+            tail = np.asarray(tail_devices, dtype=np.int64)
+            tail_plan = self._dasc.plan(fleet.subset(tail), context, rng)
+            parts.append(
+                replace(
+                    tail_plan.directives,
+                    device_indices=tail[tail_plan.directives.device_indices],
+                    transmission_indices=np.full(tail.size, len(groups)),
                 )
             )
-            for directive in tail_plan.directives:
-                directives.append(
-                    DeviceDirective(
-                        device_index=tail_devices[directive.device_index],
-                        transmission_index=tail_index,
-                        method=directive.method,
-                        page_frame=directive.page_frame,
-                        connect_frame=directive.connect_frame,
-                        adaptation_page_frame=directive.adaptation_page_frame,
-                        adapted_cycle=directive.adapted_cycle,
-                        t322=directive.t322,
-                    )
-                )
+            members.append(tail)
+            sizes.append(tail.size)
+            frames.append(tail_plan.transmissions[0].frame)
 
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
+        return self._make_plan(
+            fleet,
+            context,
+            np.concatenate(members),
+            sizes,
+            frames,
+            DirectiveArrays.concatenate(parts),
         )
 
 

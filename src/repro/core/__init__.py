@@ -19,6 +19,7 @@ normalises against.
 
 from repro.core.plan import (
     DeviceDirective,
+    DirectiveArrays,
     MulticastPlan,
     Transmission,
     WakeMethod,
@@ -38,6 +39,7 @@ from repro.core.registry import (
 __all__ = [
     "WakeMethod",
     "DeviceDirective",
+    "DirectiveArrays",
     "Transmission",
     "MulticastPlan",
     "PlanningContext",

@@ -17,21 +17,19 @@ mechanism without a policy is bit-identical to the pre-policy code.
 from __future__ import annotations
 
 import abc
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.grouping.policy import GroupingPolicy
+    from repro.grouping.policy import GroupingPolicy, PlannedGroup
 
-from repro.devices.device import NbIotDevice
+from repro.devices.arrays import COVERAGE_ORDER
 from repro.devices.fleet import Fleet
-from repro.drx.schedule import PoSchedule
 from repro.enb.cell import CellConfig
-from repro.errors import ConfigurationError, PlanError
-from repro.core.plan import MulticastPlan, Transmission
+from repro.errors import ConfigurationError
+from repro.core.plan import DirectiveArrays, MulticastPlan, Transmission, latest_page
 from repro.phy.airtime import payload_airtime_frames
 from repro.rrc.procedures import ProcedureTimings
 from repro.timebase import ms_to_frames
@@ -69,37 +67,27 @@ class PlanningContext:
         """The TI in frames (window length for all mechanisms)."""
         return self.cell.inactivity_timer_frames
 
-    def connect_slack_frames(self, device: NbIotDevice) -> int:
-        """Frames a device needs from page to connected-and-ready.
-
-        Used by planners to page devices early enough inside the window
-        that they are connected before the nominal transmission start:
-        paging reception + random access (collision-free base duration)
-        + RRC setup.
-        """
-        seconds = (
-            self.timings.airtime.paging_message_s
-            + self.timings.random_access.base_duration_s(device.coverage)
-            + self.timings.airtime.rrc_setup_s
-        )
-        return ms_to_frames(seconds * 1000.0)
-
-    def adaptation_busy_frames(self, device: NbIotDevice) -> int:
-        """Frames the DA-SC adaptation episode keeps a device busy.
-
-        The adapted window PO must land after this span, otherwise the
-        device would still be mid-reconfiguration when it is due to be
-        paged for the multicast.
+    def slack_by_coverage(self, *, adaptation: bool = False) -> np.ndarray:
+        """Frames from a page until the device is connected and ready,
+        per coverage code (:data:`COVERAGE_ORDER`): paging reception +
+        random access (collision-free base duration) + RRC setup, so
+        planners page early enough for the transmission start. With
+        ``adaptation``, plus the DA-SC reconfiguration and release: the
+        busy span its adapted window PO must follow.
         """
         airtime = self.timings.airtime
-        seconds = (
-            airtime.paging_message_s
-            + self.timings.random_access.base_duration_s(device.coverage)
-            + airtime.rrc_setup_s
-            + airtime.rrc_reconfiguration_s
-            + airtime.rrc_release_s
-        )
-        return ms_to_frames(seconds * 1000.0)
+        frames = []
+        for coverage in COVERAGE_ORDER:
+            seconds = (
+                airtime.paging_message_s
+                + self.timings.random_access.base_duration_s(coverage)
+                + airtime.rrc_setup_s
+            )
+            if adaptation:
+                seconds += airtime.rrc_reconfiguration_s
+                seconds += airtime.rrc_release_s
+            frames.append(ms_to_frames(seconds * 1000.0))
+        return np.array(frames, dtype=np.int64)
 
 
 class GroupingMechanism(abc.ABC):
@@ -148,63 +136,77 @@ class GroupingMechanism(abc.ABC):
     # Shared helpers for subclasses
     # ------------------------------------------------------------------
     @staticmethod
-    def _groups_in_time_order(decision) -> list:
-        """A decision's groups renumbered into campaign-timeline order.
+    def _paged_rows(
+        fleet: Fleet, context: PlanningContext, groups: Sequence["PlannedGroup"]
+    ) -> Tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Order ``groups`` along the timeline and page all members at once.
 
-        Policies return groups in selection order; transmission indices
-        must follow the timeline. The stable sort preserves selection
-        order among groups sharing a window (collision-aware splits).
+        The stable sort by window end keeps a policy's selection order
+        among groups sharing a window (collision-aware splits). Returns
+        the ordered groups, then per member, group by group: fleet index,
+        transmission index, window ``[start, last]`` and the
+        :func:`~repro.core.plan.latest_page` leaving its connect slack
+        (-1: no PO in the window).
         """
-        order = np.argsort(
-            [group.window.end for group in decision.groups], kind="stable"
+        order = np.argsort([group.window.end for group in groups], kind="stable")
+        groups = [groups[i] for i in order]
+        arrays = fleet.arrays
+        members = np.concatenate([group.members for group in groups])
+        tx = np.repeat(np.arange(len(groups)), [group.size for group in groups])
+        start = np.array([group.window.start for group in groups])[tx]
+        last = np.array([group.window.last_frame for group in groups])[tx]
+        page = latest_page(
+            arrays.phases[members],
+            arrays.periods[members],
+            start,
+            last,
+            context.slack_by_coverage()[arrays.coverage_codes[members]],
         )
-        return [decision.groups[i] for i in order]
+        return groups, members, tx, start, last, page
 
-    def _build_transmission(
+    def _make_plan(
         self,
-        index: int,
-        frame: int,
-        device_indices: Sequence[int],
         fleet: Fleet,
-        payload_bytes: int,
-    ) -> Transmission:
-        """Size the bearer for the group and build the transmission."""
-        rate = fleet.group_rate_bps(list(device_indices))
-        return Transmission(
-            index=index,
-            frame=frame,
-            device_indices=tuple(int(i) for i in device_indices),
-            rate_bps=rate,
-            duration_frames=payload_airtime_frames(payload_bytes, rate),
-        )
-
-    @staticmethod
-    def _page_frame_in_window(
-        schedule: PoSchedule,
-        window_start: int,
-        transmission_frame: int,
-        slack_frames: int,
-    ) -> int:
-        """Choose the PO at which to page a device with a window PO.
-
-        Prefers the latest PO that still leaves ``slack_frames`` before
-        the nominal transmission start (minimising the connected wait);
-        falls back to the latest window PO if the whole window tail is
-        inside the slack region. Raises :class:`PlanError` if the device
-        has no PO in the window at all — planners must only call this
-        for covered devices.
-        """
-        latest_with_slack = schedule.last_at_or_before(
-            transmission_frame - slack_frames
-        )
-        if latest_with_slack is not None and latest_with_slack >= window_start:
-            return latest_with_slack
-        fallback = schedule.last_at_or_before(transmission_frame)
-        if fallback is None or fallback < window_start:
-            raise PlanError(
-                f"no PO in window [{window_start}, {transmission_frame}]"
+        context: PlanningContext,
+        members: np.ndarray,
+        sizes: Sequence[int],
+        frames: Sequence[int],
+        directives: DirectiveArrays,
+    ) -> MulticastPlan:
+        """The plan of ``directives``; transmission ``i`` starts at
+        ``frames[i]`` and serves the next ``sizes[i]`` ``members``, at the
+        bearer rate of its slowest member (paper Sec. II-A)."""
+        bounds = np.cumsum(sizes)
+        starts = bounds - sizes
+        rates = np.minimum.reduceat(fleet.arrays.downlink_bps[members], starts)
+        flat = members.tolist()
+        airtime: Dict[float, int] = {}
+        transmissions = []
+        for index, (lo, hi, frame, rate) in enumerate(
+            zip(starts.tolist(), bounds.tolist(), frames, rates.tolist())
+        ):
+            if rate not in airtime:
+                airtime[rate] = payload_airtime_frames(context.payload_bytes, rate)
+            transmissions.append(
+                Transmission(
+                    index=index,
+                    frame=int(frame),
+                    device_indices=tuple(flat[lo:hi]),
+                    rate_bps=rate,
+                    duration_frames=airtime[rate],
+                )
             )
-        return fallback
+        return MulticastPlan(
+            mechanism=self.name,
+            standards_compliant=self.standards_compliant,
+            respects_preferred_drx=self.respects_preferred_drx,
+            announce_frame=context.announce_frame,
+            inactivity_timer_frames=context.inactivity_timer_frames,
+            payload_bytes=context.payload_bytes,
+            transmissions=tuple(transmissions),
+            directives=directives,
+            grouping=self.grouping_name,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -31,18 +31,22 @@ relies on (both property-tested):
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
-from repro.devices.device import NbIotDevice
+from repro.core.plan import (
+    ADAPTED_CODE,
+    PAGED_CODE,
+    DirectiveArrays,
+    MulticastPlan,
+    raise_on_first,
+)
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import pattern_for
-from repro.drx.schedule import PoSchedule
-from repro.errors import PlanError
+from repro.drx.paging import v_paging_frame_offset
+from repro.drx.schedule import v_first_at_or_after, v_last_before
 from repro.grouping.policies import SingleGroupPolicy
 from repro.grouping.policy import GroupingPolicy
 
@@ -97,146 +101,94 @@ class DaScMechanism(GroupingMechanism):
         PO inside their group's window are paged normally, the rest go
         through the DRX-adaptation episode relative to that window.
         """
-        ti = context.inactivity_timer_frames
-        decision = self._policy.group(fleet, context, rng)
-
         # The paper's window is the half-open [t - TI, t); with the
         # transmission at frame t itself, a device paged at frame p in
         # the window waits t - p < TI so its inactivity timer never
         # expires before the data starts. We therefore accept POs in
         # [t - TI, t - 1] and page as late as slack allows.
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        for group_index, group in enumerate(self._groups_in_time_order(decision)):
-            t = group.window.end
-            window_lo = group.window.start
-            window_hi = t - 1
-            for device_index in (int(i) for i in group.members):
-                device = fleet[device_index]
-                schedule = device.schedule
-                slack = context.connect_slack_frames(device)
-                last_window_po = schedule.last_at_or_before(window_hi)
-                if last_window_po is not None and last_window_po >= window_lo:
-                    page_frame = self._page_frame_in_window(
-                        schedule, window_lo, window_hi, slack
-                    )
-                    directives.append(
-                        DeviceDirective(
-                            device_index=device_index,
-                            transmission_index=group_index,
-                            method=WakeMethod.PAGED_IN_WINDOW,
-                            page_frame=page_frame,
-                            connect_frame=page_frame,
-                        )
-                    )
-                    continue
-                directives.append(
-                    self._adaptation_directive(
-                        device_index,
-                        device,
-                        group_index,
-                        window_lo,
-                        window_hi,
-                        context,
-                    )
-                )
-            transmissions.append(
-                self._build_transmission(
-                    index=group_index,
-                    frame=t,
-                    device_indices=[int(i) for i in group.members],
-                    fleet=fleet,
-                    payload_bytes=context.payload_bytes,
-                )
+        groups, members, tx, start, last, page = self._paged_rows(
+            fleet, context, self._policy.group(fleet, context, rng).groups
+        )
+        adapting = page < 0
+        methods = np.where(adapting, ADAPTED_CODE, PAGED_CODE)
+        adaptation = np.zeros_like(page)
+        cycles = np.zeros_like(page)
+        if adapting.any():
+            adaptation[adapting], cycles[adapting], page[adapting] = self._adapt(
+                fleet, context, members[adapting], start[adapting], last[adapting]
             )
-
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
-            grouping=self.grouping_name,
+        return self._make_plan(
+            fleet,
+            context,
+            members,
+            [group.size for group in groups],
+            [group.window.end for group in groups],
+            DirectiveArrays(members, tx, methods, page, page, adaptation, cycles),
         )
 
     # ------------------------------------------------------------------
     # Adaptation machinery
     # ------------------------------------------------------------------
-    def _adaptation_directive(
+    def _adapt(
         self,
-        device_index: int,
-        device: NbIotDevice,
-        transmission_index: int,
-        window_lo: int,
-        window_hi: int,
+        fleet: Fleet,
         context: PlanningContext,
-    ) -> DeviceDirective:
-        """Build the DRX-adaptation directive for one device."""
-        schedule = device.schedule
-        adaptation_frame = schedule.last_before(window_lo)
-        if adaptation_frame is None:
-            raise PlanError(
-                f"device {device_index} has no PO before the window; "
-                "t must be at least 2 * maxDRX after the announce"
-            )
-        # The device is busy with the reconfiguration episode right after
-        # its adaptation PO; the adapted window PO must come later.
-        earliest_po = max(
-            window_lo,
-            adaptation_frame + context.adaptation_busy_frames(device) + 1,
-        )
-        adapted_cycle, window_po = self._choose_cycle(
-            device, adaptation_frame, earliest_po, window_hi
-        )
-        return DeviceDirective(
-            device_index=device_index,
-            transmission_index=transmission_index,
-            method=WakeMethod.DRX_ADAPTATION,
-            page_frame=window_po,
-            connect_frame=window_po,
-            adaptation_page_frame=adaptation_frame,
-            adapted_cycle=adapted_cycle,
-        )
+        devices: np.ndarray,
+        start: np.ndarray,
+        last: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(adaptation_frame, adapted_cycle, window_po)`` per device.
 
-    def _choose_cycle(
-        self,
-        device: NbIotDevice,
-        adaptation_frame: int,
-        earliest_po: int,
-        window_hi: int,
-    ) -> Tuple[DrxCycle, int]:
-        """Pick the temporary cycle and the resulting window PO.
-
-        Scans the ladder downward from the device's own cycle and
-        returns the first (largest) cycle whose identity-derived grid
-        produces a PO inside ``[earliest_po, window_hi]``. Existence is
-        guaranteed: any cycle no longer than that span puts a PO in it,
-        and the span is the TI window minus the (much shorter)
-        adaptation episode.
+        Each device is paged at its last PO before the window, then gets
+        the largest ladder cycle below its own whose identity-derived
+        grid has a PO in ``[earliest, last]``, ``earliest`` being the
+        later of the window start and the end of the reconfiguration
+        episode. One exists: any cycle no longer than that span (the TI
+        minus the much shorter episode) hits it. Walking the ladder one
+        level at a time over the unresolved devices picks, per device,
+        the cycle a downward scan of its own ladder would.
         """
-        usable_span = window_hi - earliest_po + 1
-        candidates: List[DrxCycle] = []
-        cycle = device.cycle
-        while True:
-            if int(cycle) < int(device.cycle):
-                candidates.append(cycle)
-            if int(cycle) == DrxCycle.MIN_FRAMES:
-                break
-            cycle = cycle.shorter()
-        if self._strategy is AdaptationStrategy.LARGEST_WITHIN_TI:
-            candidates = [c for c in candidates if int(c) <= usable_span]
-
-        for candidate in candidates:
-            grid = pattern_for(
-                device.drx.ue_id, candidate, device.drx.nb
-            ).schedule
-            po = grid.first_at_or_after(earliest_po)
-            if po <= window_hi:
-                return candidate, po
-        raise PlanError(
-            f"no ladder cycle creates a PO in [{earliest_po}, {window_hi}] "
-            f"for device with cycle {device.cycle!r}"
+        arrays = fleet.arrays
+        periods = arrays.periods[devices]
+        adaptation = v_last_before(arrays.phases[devices], periods, start)
+        busy = context.slack_by_coverage(adaptation=True)
+        earliest = np.maximum(
+            start, adaptation + busy[arrays.coverage_codes[devices]] + 1
         )
+        nb = (arrays.nb_numerators[devices], arrays.nb_denominators[devices])
+        cycles = np.zeros_like(devices)
+        window_po = np.zeros_like(devices)
+        level = int(periods.max()) // 2
+        while level >= DrxCycle.MIN_FRAMES:
+            rows = periods > level
+            if self._strategy is AdaptationStrategy.LARGEST_WITHIN_TI:
+                rows &= level <= last - earliest + 1
+            rows = np.flatnonzero(rows & (cycles == 0))
+            level_cycles = np.full(rows.size, level)
+            phases = v_paging_frame_offset(
+                arrays.ue_ids[devices[rows]], level_cycles, (nb[0][rows], nb[1][rows])
+            )
+            po = v_first_at_or_after(phases, level_cycles, earliest[rows])
+            hit = po <= last[rows]
+            cycles[rows[hit]] = level
+            window_po[rows[hit]] = po[hit]
+            level //= 2
+        raise_on_first(
+            [
+                (
+                    adaptation < 0,
+                    "device {dev} has no PO before the window; t must be at "
+                    "least 2 * maxDRX after the announce",
+                ),
+                (
+                    cycles == 0,
+                    "no ladder cycle creates a PO in [{earliest}, {last}] for "
+                    "device {dev} with a cycle of {period} frames",
+                ),
+            ],
+            dev=devices,
+            earliest=earliest,
+            last=last,
+            period=periods,
+        )
+        return adaptation, cycles, window_po

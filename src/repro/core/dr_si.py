@@ -22,17 +22,23 @@ over the TI window instead of synchronising a RACH stampede at t - TI.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
+from repro.core.plan import (
+    EXTENDED_CODE,
+    PAGED_CODE,
+    DirectiveArrays,
+    MulticastPlan,
+    raise_on_first,
+)
 from repro.devices.fleet import Fleet
-from repro.errors import ConfigurationError, PlanError
+from repro.drx.schedule import v_first_at_or_after
+from repro.errors import ConfigurationError
 from repro.grouping.policies import SingleGroupPolicy
 from repro.grouping.policy import GroupingPolicy
-from repro.rrc.timers import T322Timer
 
 
 class DrSiMechanism(GroupingMechanism):
@@ -68,75 +74,35 @@ class DrSiMechanism(GroupingMechanism):
                 "DR-SI needs an RNG: devices select a random wake time "
                 "within [t - TI, t)"
             )
-        ti = context.inactivity_timer_frames
-        decision = self._policy.group(fleet, context, rng)
-
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        for group_index, group in enumerate(self._groups_in_time_order(decision)):
-            t = group.window.end
-            window_lo = group.window.start
-            window_hi = t - 1
-            for device_index in (int(i) for i in group.members):
-                device = fleet[device_index]
-                schedule = device.schedule
-                slack = context.connect_slack_frames(device)
-                last_window_po = schedule.last_at_or_before(window_hi)
-                if last_window_po is not None and last_window_po >= window_lo:
-                    page_frame = self._page_frame_in_window(
-                        schedule, window_lo, window_hi, slack
-                    )
-                    directives.append(
-                        DeviceDirective(
-                            device_index=device_index,
-                            transmission_index=group_index,
-                            method=WakeMethod.PAGED_IN_WINDOW,
-                            page_frame=page_frame,
-                            connect_frame=page_frame,
-                        )
-                    )
-                    continue
-
-                # Extended page at the device's first PO after the announce:
-                # "notify the devices well in advance of the time of the
-                # multicast transmission".
-                page_frame = schedule.first_at_or_after(context.announce_frame)
-                if page_frame >= window_lo:
-                    raise PlanError(
-                        f"device {device_index}: first PO {page_frame} already "
-                        "inside the window despite having no window PO"
-                    )  # pragma: no cover - unreachable by construction
-                wake_frame = int(rng.integers(window_lo, window_hi + 1))
-                directives.append(
-                    DeviceDirective(
-                        device_index=device_index,
-                        transmission_index=group_index,
-                        method=WakeMethod.EXTENDED_PAGE_TIMER,
-                        page_frame=page_frame,
-                        connect_frame=wake_frame,
-                        t322=T322Timer(
-                            armed_at_frame=page_frame, expires_at_frame=wake_frame
-                        ),
-                    )
-                )
-            transmissions.append(
-                self._build_transmission(
-                    index=group_index,
-                    frame=t,
-                    device_indices=[int(i) for i in group.members],
-                    fleet=fleet,
-                    payload_bytes=context.payload_bytes,
-                )
+        groups, members, tx, start, last, page = self._paged_rows(
+            fleet, context, self._policy.group(fleet, context, rng).groups
+        )
+        notified = page < 0
+        methods = np.where(notified, EXTENDED_CODE, PAGED_CODE)
+        connect = page.copy()
+        if notified.any():
+            # Extended page at the device's first PO after the announce:
+            # "notify the devices well in advance of the time of the
+            # multicast transmission".
+            arrays = fleet.arrays
+            page[notified] = v_first_at_or_after(
+                arrays.phases[members[notified]],
+                arrays.periods[members[notified]],
+                context.announce_frame,
             )
-
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
-            grouping=self.grouping_name,
+            late = notified & (page >= start)
+            raise_on_first(
+                [(late, "device {dev}: first PO {page} is not before its window")],
+                dev=members,
+                page=page,
+            )
+            # One draw per notified device, in directive order.
+            connect[notified] = rng.integers(start[notified], last[notified] + 1)
+        return self._make_plan(
+            fleet,
+            context,
+            members,
+            [group.size for group in groups],
+            [group.window.end for group in groups],
+            DirectiveArrays(members, tx, methods, page, connect),
         )

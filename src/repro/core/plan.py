@@ -14,14 +14,18 @@ and property tests, so executor results can trust plan invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.devices.fleet import Fleet
-from repro.drx.cycles import DrxCycle
-from repro.drx.paging import pattern_for
-from repro.drx.schedule import PoSchedule
+from repro.drx.cycles import FULL_LADDER, DrxCycle
+from repro.drx.paging import v_paging_frame_offset
+from repro.drx.schedule import v_last_before
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
 from repro.timebase import frames_to_seconds
@@ -95,7 +99,10 @@ class Transmission:
 
 @dataclass(frozen=True)
 class DeviceDirective:
-    """Per-device wake-up instructions.
+    """Per-device wake-up instructions: one :class:`DirectiveArrays` row.
+
+    Plans yield these as views of their columns; hand-built ones are
+    checked like the columns and converted once when a plan is built.
 
     Attributes:
         device_index: fleet index of the device.
@@ -108,7 +115,8 @@ class DeviceDirective:
             cycle) where the device is paged for the reconfiguration;
             "the adaptation happens in the last PO before t - TI".
         adapted_cycle: DA-SC only — the temporary (shorter) cycle.
-        t322: DR-SI only — the armed wake-up timer.
+        t322: DR-SI only — the wake-up timer, armed at the page frame and
+            expiring at the connect frame.
     """
 
     device_index: int
@@ -121,35 +129,227 @@ class DeviceDirective:
     t322: Optional[T322Timer] = None
 
     def __post_init__(self) -> None:
-        if self.device_index < 0:
-            raise PlanError(f"device index must be >= 0, got {self.device_index}")
-        if self.page_frame < 0:
-            raise PlanError(f"page frame must be >= 0, got {self.page_frame}")
-        if self.connect_frame < self.page_frame and self.method is not WakeMethod.DRX_ADAPTATION:
-            raise PlanError(
-                f"device {self.device_index} connects at {self.connect_frame} "
-                f"before its page at {self.page_frame}"
+        DirectiveArrays.from_directives((self,))
+
+
+#: Code of each wake method in :attr:`DirectiveArrays.methods` columns.
+METHOD_CODE: Dict[WakeMethod, int] = {m: i for i, m in enumerate(WakeMethod)}
+PAGED_CODE, ADAPTED_CODE, EXTENDED_CODE, IMMEDIATE_CODE = METHOD_CODE.values()
+_METHODS = tuple(WakeMethod)
+
+_LADDER_FRAMES = np.array([int(c) for c in FULL_LADDER], dtype=np.int64)
+
+
+def raise_on_first(
+    checks: Sequence[Tuple[np.ndarray, str]],
+    error: type = PlanError,
+    **columns: np.ndarray,
+) -> None:
+    """Raise ``error`` at the first row flagged by the first failing check.
+
+    A check is a per-row boolean mask and a message template, formatted
+    with the flagged row's value of every column.
+    """
+    for bad, template in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(template.format(**{k: v[i] for k, v in columns.items()}))
+
+
+@dataclass(frozen=True, eq=False)
+class DirectiveArrays:
+    """A plan's per-device directives as a frozen struct-of-arrays.
+
+    One row per directed device, in the order the mechanism emitted
+    them; ``methods`` holds :data:`METHOD_CODE` codes (int8), every
+    other column is int64. The adaptation columns are 0 on rows that
+    are not DRX adaptations (omitted: all zeros). An extended-page row's
+    T322 is implied: armed at its page frame, expiring at its connect
+    frame. ``len``, indexing and iteration yield :class:`DeviceDirective`
+    views; equality compares the columns.
+    """
+
+    device_indices: np.ndarray
+    transmission_indices: np.ndarray
+    methods: np.ndarray
+    page_frames: np.ndarray
+    connect_frames: np.ndarray
+    adaptation_page_frames: Optional[np.ndarray] = None
+    adapted_cycles: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        n = np.size(self.device_indices)
+        for name in _COLUMNS:
+            value = getattr(self, name)
+            column = np.array(
+                np.zeros(n) if value is None else value,
+                dtype=np.int8 if name == "methods" else np.int64,
+                ndmin=1,
             )
-        if self.method is WakeMethod.DRX_ADAPTATION:
-            if self.adaptation_page_frame is None or self.adapted_cycle is None:
-                raise PlanError(
-                    f"device {self.device_index}: DRX adaptation requires "
-                    "adaptation_page_frame and adapted_cycle"
-                )
-        else:
-            if self.adaptation_page_frame is not None or self.adapted_cycle is not None:
-                raise PlanError(
-                    f"device {self.device_index}: adaptation fields set for "
-                    f"non-adaptation method {self.method}"
-                )
-        if self.method is WakeMethod.EXTENDED_PAGE_TIMER and self.t322 is None:
-            raise PlanError(
-                f"device {self.device_index}: extended-page method requires T322"
-            )
-        if self.method is not WakeMethod.EXTENDED_PAGE_TIMER and self.t322 is not None:
-            raise PlanError(
-                f"device {self.device_index}: T322 set for method {self.method}"
-            )
+            if column.shape != (n,):
+                raise PlanError(f"directive column {name!r} is not {n} rows")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        method, page, connect = self.methods, self.page_frames, self.connect_frames
+        adapted = method == ADAPTED_CODE
+        adaptation_set = (self.adaptation_page_frames != 0) | (self.adapted_cycles != 0)
+        raise_on_first(
+            [
+                (self.device_indices < 0, "device index must be >= 0, got {dev}"),
+                (page < 0, "page frame must be >= 0, got {page}"),
+                ((method < 0) | (method > IMMEDIATE_CODE), "unknown method code {method}"),
+                (
+                    (connect < page) & ~adapted,
+                    "device {dev} connects at {connect} before its page at {page}",
+                ),
+                (
+                    adapted & ~np.isin(self.adapted_cycles, _LADDER_FRAMES),
+                    "device {dev}: DRX adaptation requires adaptation_page_frame "
+                    "and adapted_cycle (a ladder cycle)",
+                ),
+                (
+                    ~adapted & adaptation_set,
+                    "device {dev}: adaptation fields set for non-adaptation "
+                    "method code {method}",
+                ),
+                (
+                    (method == EXTENDED_CODE) & (connect <= page),
+                    "device {dev}: T322 expires at {connect}, not after its "
+                    "arming at {page}",
+                ),
+            ],
+            dev=self.device_indices,
+            method=method,
+            page=page,
+            connect=connect,
+        )
+
+    @classmethod
+    def from_directives(
+        cls, directives: Sequence[DeviceDirective]
+    ) -> "DirectiveArrays":
+        """Columns of directive objects, checking which fields they set."""
+        rows = []
+        for d in directives:
+            adapted = d.method is WakeMethod.DRX_ADAPTATION
+            extended = d.method is WakeMethod.EXTENDED_PAGE_TIMER
+            adaptation = (d.adaptation_page_frame, d.adapted_cycle)
+            timer = d.t322 and (d.t322.armed_at_frame, d.t322.expires_at_frame)
+            for bad, message in (
+                (
+                    adapted and None in adaptation,
+                    "DRX adaptation requires adaptation_page_frame and adapted_cycle",
+                ),
+                (
+                    not adapted and adaptation != (None, None),
+                    f"adaptation fields set for non-adaptation method {d.method}",
+                ),
+                (extended and d.t322 is None, "extended-page method requires T322"),
+                (not extended and d.t322 is not None, f"T322 set for method {d.method}"),
+                (
+                    extended and timer != (d.page_frame, d.connect_frame),
+                    "T322 must be armed at the page frame and expire at the "
+                    "connect frame",
+                ),
+            ):
+                if bad:
+                    raise PlanError(f"device {d.device_index}: {message}")
+            rows.append((
+                d.device_index,
+                d.transmission_index,
+                METHOD_CODE[d.method],
+                d.page_frame,
+                d.connect_frame,
+                d.adaptation_page_frame or 0,
+                d.adapted_cycle or 0,
+            ))
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMNS)).T)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["DirectiveArrays"]) -> "DirectiveArrays":
+        """Row-wise concatenation of several directive tables."""
+        return cls(*map(np.concatenate, zip(*(p._columns() for p in parts))))
+
+    def take(self, rows: np.ndarray) -> "DirectiveArrays":
+        """The rows at ``rows`` (indices or a boolean mask)."""
+        return DirectiveArrays(*(column[rows] for column in self._columns()))
+
+    def _columns(self) -> List[np.ndarray]:
+        return [getattr(self, name) for name in _COLUMNS]
+
+    @cached_property
+    def _by_device(self) -> Tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.device_indices, kind="stable")
+        return order, self.device_indices[order]
+
+    def row_of(self, device_index: int) -> Optional[int]:
+        """The row directing ``device_index``, or None (binary search)."""
+        order, devices = self._by_device
+        pos = int(np.searchsorted(devices, device_index))
+        found = pos < devices.size and devices[pos] == device_index
+        return int(order[pos]) if found else None
+
+    def __len__(self) -> int:
+        return self.device_indices.size
+
+    def __getitem__(self, index: int) -> DeviceDirective:
+        row = range(len(self))[index]
+        return _view(*(column[row].item() for column in self._columns()))
+
+    def __iter__(self) -> Iterator[DeviceDirective]:
+        return map(_view, *(column.tolist() for column in self._columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectiveArrays):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+_COLUMNS = tuple(f.name for f in fields(DirectiveArrays))
+
+
+def _view(device, tx, code, page, connect, adaptation, cycle) -> DeviceDirective:
+    """One checked row as a :class:`DeviceDirective` (not re-checked)."""
+    view = object.__new__(DeviceDirective)
+    adapted, extended = code == ADAPTED_CODE, code == EXTENDED_CODE
+    view.__dict__.update(
+        device_index=device,
+        transmission_index=tx,
+        method=_METHODS[code],
+        page_frame=page,
+        connect_frame=connect,
+        adaptation_page_frame=adaptation if adapted else None,
+        adapted_cycle=DrxCycle(cycle) if adapted else None,
+        t322=T322Timer(page, connect) if extended else None,
+    )
+    return view
+
+
+def _v_is_po(phases: np.ndarray, periods: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Per-row :meth:`PoSchedule.is_po` over parallel columns."""
+    return (frames >= phases) & ((frames - phases) % periods == 0)
+
+
+def latest_page(
+    phases: np.ndarray,
+    periods: np.ndarray,
+    lowest: np.ndarray,
+    last: np.ndarray,
+    slack: np.ndarray,
+) -> np.ndarray:
+    """The PO to page a device at inside ``[lowest, last]``, per row.
+
+    The latest PO that still leaves ``slack`` frames before ``last``
+    (minimising the connected wait) if it is inside the window, else
+    the latest window PO, else -1: the device has no PO in the window.
+    """
+    lowest = np.maximum(lowest, 0)  # v_last_before flags "none" with -1
+    latest = v_last_before(phases, periods, last + 1)
+    preferred = v_last_before(phases, periods, last - slack + 1)
+    fallback = np.where(latest >= lowest, latest, -1)
+    return np.where(preferred >= lowest, preferred, fallback)
 
 
 @dataclass(frozen=True)
@@ -166,7 +366,9 @@ class MulticastPlan:
         inactivity_timer_frames: the TI used for the windows.
         payload_bytes: multicast payload size.
         transmissions: scheduled transmissions, ordered by frame.
-        directives: one directive per fleet device (any order).
+        directives: one directive row per fleet device (any order); a
+            sequence of :class:`DeviceDirective` is converted on
+            construction.
         grouping: registry name of the grouping policy that formed the
             groups (None for policy-free baselines such as unicast).
     """
@@ -178,8 +380,13 @@ class MulticastPlan:
     inactivity_timer_frames: int
     payload_bytes: int
     transmissions: Tuple[Transmission, ...]
-    directives: Tuple[DeviceDirective, ...]
+    directives: DirectiveArrays
     grouping: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.directives, DirectiveArrays):
+            directives = DirectiveArrays.from_directives(self.directives)
+            object.__setattr__(self, "directives", directives)
 
     # ------------------------------------------------------------------
     # Summaries
@@ -201,10 +408,10 @@ class MulticastPlan:
 
     def directive_for(self, device_index: int) -> DeviceDirective:
         """The directive addressing ``device_index``."""
-        for directive in self.directives:
-            if directive.device_index == device_index:
-                return directive
-        raise PlanError(f"no directive for device {device_index}")
+        row = self.directives.row_of(device_index)
+        if row is None:
+            raise PlanError(f"no directive for device {device_index}")
+        return self.directives[row]
 
     # ------------------------------------------------------------------
     # Validation
@@ -214,6 +421,9 @@ class MulticastPlan:
 
         Raises :class:`~repro.errors.PlanError` (or its subclass
         :class:`~repro.errors.CoverageError`) on the first violation.
+        Every check is a whole-plan array expression, and every PO grid
+        is re-derived from the fleet's identity columns (UE_ID, cycle,
+        nB), never read from its cached phases.
 
         ``partial=True`` relaxes only the completeness requirement —
         fleet devices without a directive are allowed. Revised in-flight
@@ -223,162 +433,110 @@ class MulticastPlan:
         invariant (no duplicate directives, transmission/directive
         agreement, per-directive paging feasibility) still holds.
         """
-        self._validate_coverage(fleet, partial=partial)
-        by_index = {t.index: t for t in self.transmissions}
-        if sorted(by_index) != list(range(len(self.transmissions))):
+        n, d, arrays = len(fleet), self.directives, fleet.arrays
+        dev = d.device_indices
+        if (dev >= n).any():
+            raise PlanError(f"directive for device {dev.max()} outside fleet of {n}")
+        counts = np.bincount(dev, minlength=n)
+        uncovered = np.flatnonzero(counts == 0)
+        raise_on_first(
+            [
+                (counts > 1, "device {dev} has multiple directives"),
+                (
+                    (counts == 0) & (not partial),
+                    f"{uncovered.size} devices uncovered, e.g. "
+                    f"{uncovered[:5].tolist()}",
+                ),
+            ],
+            CoverageError,
+            dev=np.arange(n),
+        )
+        # The transmissions' member lists must pair every directed device
+        # with its directive's transmission, and nothing else. (A device
+        # listed twice is listed by two transmissions: one mismatches.)
+        listed = np.fromiter(
+            chain.from_iterable(t.device_indices for t in self.transmissions),
+            np.int64,
+        )
+        listed_tx = np.repeat(
+            [t.index for t in self.transmissions],
+            [t.group_size for t in self.transmissions],
+        )
+        directed = np.full(n, -1, dtype=np.int64)
+        directed[dev] = d.transmission_indices
+        if (
+            listed.size != dev.size
+            or ((listed < 0) | (listed >= n)).any()
+            or (directed[listed] != listed_tx).any()
+        ):
+            raise CoverageError("transmission device lists disagree with directives")
+        by_index = sorted(self.transmissions, key=lambda t: t.index)
+        if [t.index for t in by_index] != list(range(len(by_index))):
             raise PlanError("transmission indices are not 0..k-1")
-        for directive in self.directives:
-            transmission = by_index.get(directive.transmission_index)
-            if transmission is None:
-                raise PlanError(
-                    f"device {directive.device_index} references missing "
-                    f"transmission {directive.transmission_index}"
-                )
-            self._validate_directive(fleet, directive, transmission)
 
-    def _validate_coverage(self, fleet: Fleet, *, partial: bool = False) -> None:
-        seen: Dict[int, int] = {}
-        for directive in self.directives:
-            if directive.device_index >= len(fleet):
-                raise PlanError(
-                    f"directive for device {directive.device_index} outside "
-                    f"fleet of {len(fleet)}"
-                )
-            if directive.device_index in seen:
-                raise CoverageError(
-                    f"device {directive.device_index} has multiple directives"
-                )
-            seen[directive.device_index] = directive.transmission_index
-        missing = set(range(len(fleet))) - set(seen)
-        if missing and not partial:
-            raise CoverageError(
-                f"{len(missing)} devices uncovered, e.g. {sorted(missing)[:5]}"
-            )
-        listed = {
-            i for t in self.transmissions for i in t.device_indices
-        }
-        if listed != set(seen):
-            raise CoverageError(
-                "transmission device lists disagree with directives"
-            )
-        for t in self.transmissions:
-            for i in t.device_indices:
-                if seen[i] != t.index:
-                    raise CoverageError(
-                        f"device {i} listed in transmission {t.index} but "
-                        f"directed to {seen[i]}"
-                    )
-
-    def _validate_directive(
-        self, fleet: Fleet, directive: DeviceDirective, transmission: Transmission
-    ) -> None:
-        device = fleet[directive.device_index]
-        ti = self.inactivity_timer_frames
         # A device paged (or self-waking) at frame p can still be awake at
         # the transmission frame F iff F - p <= TI. Both window
         # conventions in the paper (DR-SC's [s, s+TI) with the
         # transmission at s+TI-1, and DA-SC/DR-SI's [t - TI, t) with the
         # transmission at t) satisfy this single invariant.
-        window_start = transmission.frame - ti
-        preferred = device.schedule
-
-        if directive.method is WakeMethod.IMMEDIATE_PAGE:
-            if not preferred.is_po(directive.page_frame):
-                raise PlanError(
-                    f"device {directive.device_index}: immediate page at "
-                    f"{directive.page_frame} is not a PO"
-                )
-            return
-
-        if directive.method is WakeMethod.PAGED_IN_WINDOW:
-            if not preferred.is_po(directive.page_frame):
-                raise PlanError(
-                    f"device {directive.device_index}: window page at "
-                    f"{directive.page_frame} is not a PO"
-                )
-            if not window_start <= directive.page_frame <= transmission.frame:
-                raise PlanError(
-                    f"device {directive.device_index}: page at "
-                    f"{directive.page_frame} outside window "
-                    f"[{window_start}, {transmission.frame}]"
-                )
-            return
-
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            self._validate_adaptation(fleet, directive, transmission, window_start)
-            return
-
-        if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-            if not preferred.is_po(directive.page_frame):
-                raise PlanError(
-                    f"device {directive.device_index}: extended page at "
-                    f"{directive.page_frame} is not a PO"
-                )
-            timer = directive.t322
-            assert timer is not None  # guaranteed by DeviceDirective
-            if not window_start <= timer.expires_at_frame <= transmission.frame:
-                raise PlanError(
-                    f"device {directive.device_index}: T322 expiry "
-                    f"{timer.expires_at_frame} outside window "
-                    f"[{window_start}, {transmission.frame}]"
-                )
-            if directive.connect_frame != timer.expires_at_frame:
-                raise PlanError(
-                    f"device {directive.device_index}: connect frame "
-                    f"{directive.connect_frame} differs from T322 expiry"
-                )
-            return
-
-        raise PlanError(f"unknown wake method {directive.method}")  # pragma: no cover
-
-    def _validate_adaptation(
-        self,
-        fleet: Fleet,
-        directive: DeviceDirective,
-        transmission: Transmission,
-        window_start: int,
-    ) -> None:
-        device = fleet[directive.device_index]
-        preferred = device.schedule
-        adaptation_frame = directive.adaptation_page_frame
-        adapted_cycle = directive.adapted_cycle
-        assert adaptation_frame is not None and adapted_cycle is not None
-
-        if int(adapted_cycle) > int(device.cycle):
-            raise PlanError(
-                f"device {directive.device_index}: adapted cycle "
-                f"{adapted_cycle!r} longer than preferred {device.cycle!r}"
-            )
-        if not preferred.is_po(adaptation_frame):
-            raise PlanError(
-                f"device {directive.device_index}: adaptation page at "
-                f"{adaptation_frame} is not a preferred-cycle PO"
-            )
-        if adaptation_frame >= window_start:
-            raise PlanError(
-                f"device {directive.device_index}: adaptation at "
-                f"{adaptation_frame} not before the window start {window_start}"
-            )
+        page, connect = d.page_frames, d.connect_frames
+        end = np.array([t.frame for t in by_index], np.int64)[d.transmission_indices]
+        start = end - self.inactivity_timer_frames
+        paged, adapting, extended, immediate = (
+            d.methods == code for code in METHOD_CODE.values()
+        )
+        ue_ids, periods = arrays.ue_ids[dev], arrays.periods[dev]
+        nb = (arrays.nb_numerators[dev], arrays.nb_denominators[dev])
+        phases = v_paging_frame_offset(ue_ids, periods, nb)
+        adaptation = d.adaptation_page_frames
+        adapted = np.where(adapting, d.adapted_cycles, periods)
         # The adapted PO grid derives from the identity, like any grid.
-        adapted = pattern_for(
-            device.drx.ue_id, adapted_cycle, device.drx.nb
-        ).schedule
-        if not adapted.is_po(directive.page_frame):
-            raise PlanError(
-                f"device {directive.device_index}: window page at "
-                f"{directive.page_frame} is not on the adapted grid"
-            )
-        if not window_start <= directive.page_frame <= transmission.frame:
-            raise PlanError(
-                f"device {directive.device_index}: adapted page at "
-                f"{directive.page_frame} outside window "
-                f"[{window_start}, {transmission.frame}]"
-            )
-        if directive.page_frame <= adaptation_frame:
-            raise PlanError(
-                f"device {directive.device_index}: adapted page not after "
-                "the adaptation episode"
-            )
+        adapted_phases = v_paging_frame_offset(ue_ids, adapted, nb)
+        off_grid = ~_v_is_po(phases, periods, page)
+        outside = (page < start) | (page > end)
+        window = "window [{start}, {end}]"
+        checks = [
+            (immediate & off_grid, "immediate page at {page} is not a PO"),
+            (paged & off_grid, "window page at {page} is not a PO"),
+            (extended & off_grid, "extended page at {page} is not a PO"),
+            (paged & outside, "page at {page} outside " + window),
+            (
+                extended & ((connect < start) | (connect > end)),
+                "T322 expiry {connect} outside " + window,
+            ),
+            (
+                adapting & (adapted > periods),
+                "adapted cycle {adapted} longer than preferred {period}",
+            ),
+            (
+                adapting & ~_v_is_po(phases, periods, adaptation),
+                "adaptation page at {adaptation} is not a preferred-cycle PO",
+            ),
+            (
+                adapting & (adaptation >= start),
+                "adaptation at {adaptation} not before the window start {start}",
+            ),
+            (
+                adapting & ~_v_is_po(adapted_phases, adapted, page),
+                "window page at {page} is not on the adapted grid",
+            ),
+            (adapting & outside, "adapted page at {page} outside " + window),
+            (
+                adapting & (page <= adaptation),
+                "adapted page not after the adaptation episode",
+            ),
+        ]
+        raise_on_first(
+            [(bad, "device {dev}: " + message) for bad, message in checks],
+            dev=dev,
+            page=page,
+            connect=connect,
+            start=start,
+            end=end,
+            adaptation=adaptation,
+            adapted=adapted,
+            period=periods,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -439,37 +597,16 @@ class PlanRevision:
         return None
 
 
+@dataclass(eq=False)
 class _WindowDraft:
     """Mutable scratch for one transmission while a revision is built."""
 
-    __slots__ = ("base_index", "frame", "members", "rate_bps", "duration", "order")
-
-    def __init__(self, base_index, frame, members, rate_bps, duration, order):
-        self.base_index = base_index
-        self.frame = frame
-        self.members = members
-        self.rate_bps = rate_bps
-        self.duration = duration
-        self.order = order
-
-
-def _joiner_page_frame(
-    schedule: PoSchedule, window_start: int, frame: int, slack: int, now_frame: int
-) -> Optional[int]:
-    """The PO to page a joiner at inside ``[window_start, frame]``.
-
-    Mirrors the planners' latest-PO-with-slack preference but bounds the
-    page strictly after ``now_frame`` — a revision cannot page in the
-    past. Returns None when the device has no usable PO in the window.
-    """
-    lo = max(window_start, now_frame + 1)
-    preferred = schedule.last_at_or_before(frame - slack)
-    if preferred is not None and preferred >= lo:
-        return preferred
-    fallback = schedule.last_at_or_before(frame)
-    if fallback is not None and fallback >= lo:
-        return fallback
-    return None
+    base_index: Optional[int]
+    frame: int
+    members: List[int]
+    rate_bps: float
+    duration: int
+    order: int
 
 
 def revise_plan(
@@ -514,11 +651,9 @@ def revise_plan(
     ti = base.inactivity_timer_frames
     left_set = {int(i) for i in left}
     joined_list = [int(i) for i in joined]
-    directive_of: Dict[int, DeviceDirective] = {
-        d.device_index: d for d in base.directives
-    }
+    directed = set(base.directives.device_indices.tolist())
     for device_index in joined_list:
-        if device_index in directive_of:
+        if device_index in directed:
             raise PlanError(
                 f"device {device_index} already has a directive; it cannot "
                 "join the campaign again"
@@ -529,7 +664,7 @@ def revise_plan(
                 f"{len(fleet)}"
             )
     for device_index in left_set:
-        if device_index not in directive_of:
+        if device_index not in directed:
             raise PlanError(
                 f"device {device_index} has no directive; it cannot leave"
             )
@@ -557,28 +692,35 @@ def revise_plan(
     # Re-page each joiner into the nearest feasible pending window.
     joined_pages: Dict[int, Tuple[_WindowDraft, int]] = {}
     next_order = len(base.transmissions)
+    slack_by_code = context.slack_by_coverage()
     for device_index in joined_list:
-        device = fleet[device_index]
-        slack = context.connect_slack_frames(device)
-        placed = None
-        for draft in sorted(drafts, key=lambda d: (d.frame, d.order)):
-            if draft.frame <= now_frame:
-                continue  # frozen: the transmission already happened
-            page = _joiner_page_frame(
-                device.schedule, draft.frame - ti, draft.frame, slack, now_frame
-            )
-            if page is not None:
-                placed = (draft, page)
-                break
-        if placed is None:
+        slack = int(slack_by_code[fleet.arrays.coverage_codes[device_index]])
+        # Frozen windows already transmitted, and a revision cannot page
+        # in the past: only pages after now_frame in pending windows.
+        pending = sorted(
+            (d for d in drafts if d.frame > now_frame),
+            key=lambda d: (d.frame, d.order),
+        )
+        frames = np.array([d.frame for d in pending], dtype=np.int64)
+        pages = latest_page(
+            fleet.arrays.phases[[device_index]],
+            fleet.arrays.periods[[device_index]],
+            np.maximum(frames - ti, now_frame + 1),
+            frames,
+            slack,
+        )
+        feasible = np.flatnonzero(pages >= 0)
+        if feasible.size:
+            draft, page = pending[feasible[0]], int(pages[feasible[0]])
+            draft.members.append(device_index)
+        else:
             # No pending window can serve the joiner: open a fresh one
             # at its next PO, leaving the connect slack (capped by the
             # TI so the page stays inside the window).
-            page = device.schedule.first_at_or_after(now_frame + 1)
-            frame = page + min(max(slack, 1), ti)
+            page = fleet[device_index].schedule.first_at_or_after(now_frame + 1)
             draft = _WindowDraft(
                 base_index=None,
-                frame=frame,
+                frame=page + min(max(slack, 1), ti),
                 members=[device_index],
                 rate_bps=0.0,  # sized below with every other pending window
                 duration=1,
@@ -586,10 +728,7 @@ def revise_plan(
             )
             next_order += 1
             drafts.append(draft)
-            placed = (draft, page)
-        else:
-            placed[0].members.append(device_index)
-        joined_pages[device_index] = placed
+        joined_pages[device_index] = (draft, page)
 
     # Size pending windows whose membership changed (frozen windows and
     # untouched pending windows keep their exact rate and duration).
@@ -614,72 +753,55 @@ def revise_plan(
 
     # Renumber in time order (stable on the pre-revision order).
     drafts.sort(key=lambda d: (d.frame, d.order))
-    transmission_map: List[Tuple[int, int]] = []
-    new_indices: List[int] = []
-    transmissions: List[Transmission] = []
-    index_of_draft: Dict[int, int] = {}
-    for new_index, draft in enumerate(drafts):
-        index_of_draft[id(draft)] = new_index
-        if draft.base_index is not None:
-            transmission_map.append((draft.base_index, new_index))
-        else:
-            new_indices.append(new_index)
-        transmissions.append(
-            Transmission(
-                index=new_index,
-                frame=draft.frame,
-                device_indices=tuple(draft.members),
-                rate_bps=draft.rate_bps,
-                duration_frames=draft.duration,
-            )
+    index_of = {id(draft): i for i, draft in enumerate(drafts)}
+    transmissions = tuple(
+        Transmission(
+            index=i,
+            frame=draft.frame,
+            device_indices=tuple(draft.members),
+            rate_bps=draft.rate_bps,
+            duration_frames=draft.duration,
         )
+        for i, draft in enumerate(drafts)
+    )
+    transmission_map = tuple(
+        (draft.base_index, i)
+        for i, draft in enumerate(drafts)
+        if draft.base_index is not None
+    )
+    pages = [joined_pages[i][1] for i in joined_list]
+    joined_rows = DirectiveArrays(
+        joined_list,
+        [index_of[id(joined_pages[i][0])] for i in joined_list],
+        np.full(len(joined_list), PAGED_CODE),
+        pages,
+        pages,
+    )
 
-    joined_directives: List[DeviceDirective] = []
-    for device_index in joined_list:
-        draft, page = joined_pages[device_index]
-        joined_directives.append(
-            DeviceDirective(
-                device_index=device_index,
-                transmission_index=index_of_draft[id(draft)],
-                method=WakeMethod.PAGED_IN_WINDOW,
-                page_frame=page,
-                connect_frame=page,
-            )
-        )
-
-    remap = dict(transmission_map)
-    directives: List[DeviceDirective] = []
-    for directive in base.directives:
-        if directive.device_index in left_set:
-            continue
-        new_index = remap[directive.transmission_index]
-        if new_index == directive.transmission_index:
-            directives.append(directive)
-        else:
-            directives.append(replace(directive, transmission_index=new_index))
-    directives.extend(joined_directives)
-
-    revised = MulticastPlan(
-        mechanism=base.mechanism,
-        standards_compliant=base.standards_compliant,
-        respects_preferred_drx=base.respects_preferred_drx,
-        announce_frame=base.announce_frame,
-        inactivity_timer_frames=ti,
-        payload_bytes=base.payload_bytes,
-        transmissions=tuple(transmissions),
-        directives=tuple(directives),
-        grouping=base.grouping,
+    # Surviving rows keep their wake instructions under renumbered
+    # transmissions; every member of a retired window left.
+    remap = np.arange(len(base.transmissions))
+    for base_index, new_index in transmission_map:
+        remap[base_index] = new_index
+    kept = base.directives.take(
+        ~np.isin(base.directives.device_indices, list(left_set))
+    )
+    kept = replace(kept, transmission_indices=remap[kept.transmission_indices])
+    revised = replace(
+        base,
+        transmissions=transmissions,
+        directives=DirectiveArrays.concatenate([kept, joined_rows]),
     )
     revised.validate(fleet, partial=True)
     return PlanRevision(
         base=base,
         revised=revised,
         now_frame=now_frame,
-        joined_directives=tuple(joined_directives),
+        joined_directives=tuple(joined_rows),
         retired_transmissions=tuple(retired),
-        transmission_map=tuple(transmission_map),
-        resized_transmissions=tuple(
-            sorted(index_of_draft[id(d)] for d in resized_drafts)
+        transmission_map=transmission_map,
+        resized_transmissions=tuple(sorted(index_of[id(d)] for d in resized_drafts)),
+        new_transmissions=tuple(
+            i for i, draft in enumerate(drafts) if draft.base_index is None
         ),
-        new_transmissions=tuple(new_indices),
     )

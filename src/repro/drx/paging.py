@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.drx.cycles import DrxCycle
 from repro.drx.schedule import PoSchedule
@@ -221,14 +221,17 @@ def v_default_hashed_id(ue_ids: "np.ndarray") -> "np.ndarray":
 
 
 def v_paging_frame_offset(
-    ue_ids: "np.ndarray", cycles: "np.ndarray", nb: NB = NB.ONE_T
+    ue_ids: "np.ndarray",
+    cycles: "np.ndarray",
+    nb: "Union[NB, Tuple[np.ndarray, np.ndarray]]" = NB.ONE_T,
 ) -> "np.ndarray":
     """Vectorised :func:`paging_frame_offset` over parallel columns.
 
     ``cycles`` holds per-device cycle lengths in frames (ladder values).
-    Integer-exact mirror of the scalar derivation — including the
-    two-level eDRX rule — so a fleet's phase column can be built without
-    instantiating a single device object.
+    ``nb`` is one cell-wide :class:`NB` or a fleet's per-device
+    ``(nb_numerators, nb_denominators)`` columns. Integer-exact mirror
+    of the scalar derivation — including the two-level eDRX rule — so
+    phases are derived without instantiating a single device object.
     """
     import numpy as np
 
@@ -240,16 +243,17 @@ def v_paging_frame_offset(
         )
     if ue.size and (ue.min() < 0 or ue.max() >= UE_ID_SPACE):
         raise PagingError(f"UE_ID must be in [0, {UE_ID_SPACE})")
+    if isinstance(nb, NB):
+        nb = (nb.fraction.numerator, nb.fraction.denominator)
+    nb_num, nb_den = nb
     pf_cycle = np.minimum(t, FRAMES_PER_HYPERFRAME)
-    nb_scaled = pf_cycle * nb.fraction.numerator
-    if nb_scaled.size and np.any(nb_scaled % nb.fraction.denominator):
-        raise PagingError(
-            f"nB={nb.name} of some cycle in the fleet is not an integer"
-        )
-    nb_int = nb_scaled // nb.fraction.denominator
+    nb_scaled = pf_cycle * nb_num
+    if nb_scaled.size and np.any(nb_scaled % nb_den):
+        raise PagingError("nB of some cycle in the fleet is not an integer")
+    nb_int = nb_scaled // nb_den
     n = np.minimum(pf_cycle, nb_int)
     if n.size and n.min() < 1:
-        raise PagingError(f"nB={nb.name} yields N < 1 for some cycle")
+        raise PagingError("nB yields N < 1 for some cycle")
     pf_offset = (pf_cycle // n) * (ue % n)
     is_edrx = t > FRAMES_PER_HYPERFRAME
     cycle_hyperframes = np.maximum(1, t // FRAMES_PER_HYPERFRAME)

@@ -109,7 +109,7 @@ class PoSchedule:
 
 # ----------------------------------------------------------------------
 # Vectorised fleet-wide queries. ``phases`` and ``periods`` are parallel
-# integer arrays (one entry per device).
+# integer arrays (one entry per device); frame bounds broadcast.
 # ----------------------------------------------------------------------
 def _as_int_arrays(phases: np.ndarray, periods: np.ndarray) -> tuple:
     phases = np.asarray(phases, dtype=np.int64)
@@ -152,10 +152,9 @@ def v_has_in(phases: np.ndarray, periods: np.ndarray, start: int, end: int) -> n
 def v_count_in(phases: np.ndarray, periods: np.ndarray, start: int, end: int) -> np.ndarray:
     """Per-device number of POs in ``[start, end)``."""
     phases, periods = _as_int_arrays(phases, periods)
-    if end <= start:
-        return np.zeros(phases.shape, dtype=np.int64)
     k_lo = np.maximum(0, -((phases - start) // periods))
     k_hi = (end - 1 - phases) // periods
+    # end <= start gives k_hi < k_lo, so empty intervals count 0.
     return np.maximum(0, k_hi - k_lo + 1)
 
 

@@ -27,16 +27,16 @@ generator: both consume the rng in the same order (plan, then execute).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
 from repro.core.plan import (
+    ADAPTED_CODE,
+    EXTENDED_CODE,
     MulticastPlan,
     PlanRevision,
-    Transmission,
-    WakeMethod,
     revise_plan,
 )
 from repro.devices.arrays import FleetArrays
@@ -261,24 +261,23 @@ class OnDemandMulticastService:
 
     def _pack_paging(self, fleet: Fleet, plan: MulticastPlan) -> PagingLoadReport:
         """Pack every page the plan issues into paging messages."""
+        d = plan.directives
         pages = []
         notifications = []
-        for directive in plan.directives:
-            if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-                transmission = plan.transmissions[directive.transmission_index]
-                notifications.append(
-                    (
-                        directive.device_index,
-                        directive.page_frame,
-                        transmission.frame - directive.page_frame,
-                    )
-                )
+        for device, tx, code, page, adaptation in zip(
+            d.device_indices.tolist(),
+            d.transmission_indices.tolist(),
+            d.methods.tolist(),
+            d.page_frames.tolist(),
+            d.adaptation_page_frames.tolist(),
+        ):
+            if code == EXTENDED_CODE:
+                frame = plan.transmissions[tx].frame
+                notifications.append((device, page, frame - page))
                 continue
-            pages.append((directive.device_index, directive.page_frame))
-            if directive.method is WakeMethod.DRX_ADAPTATION:
-                pages.append(
-                    (directive.device_index, directive.adaptation_page_frame)
-                )
+            pages.append((device, page))
+            if code == ADAPTED_CODE:
+                pages.append((device, adaptation))
         return self._enb.pack_pages(fleet, pages, notifications)
 
 
@@ -293,32 +292,20 @@ def _strip_left(
     """
     if not left:
         return fleet, plan
-    keep = [i for i in range(len(fleet)) if i not in left]
-    remap: Dict[int, int] = {old: new for new, old in enumerate(keep)}
+    keep = np.setdiff1d(np.arange(len(fleet)), sorted(left))
+    remap = np.full(len(fleet), -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
     final_fleet = fleet.subset(keep)
     transmissions = tuple(
-        Transmission(
-            index=t.index,
-            frame=t.frame,
-            device_indices=tuple(remap[i] for i in t.device_indices),
-            rate_bps=t.rate_bps,
-            duration_frames=t.duration_frames,
+        replace(
+            t,
+            device_indices=tuple(remap[list(t.device_indices)].tolist()),
         )
         for t in plan.transmissions
     )
-    directives = tuple(
-        replace(d, device_index=remap[d.device_index])
-        for d in plan.directives
+    directives = replace(
+        plan.directives,
+        device_indices=remap[plan.directives.device_indices],
     )
-    final_plan = MulticastPlan(
-        mechanism=plan.mechanism,
-        standards_compliant=plan.standards_compliant,
-        respects_preferred_drx=plan.respects_preferred_drx,
-        announce_frame=plan.announce_frame,
-        inactivity_timer_frames=plan.inactivity_timer_frames,
-        payload_bytes=plan.payload_bytes,
-        transmissions=transmissions,
-        directives=directives,
-        grouping=plan.grouping,
-    )
+    final_plan = replace(plan, transmissions=transmissions, directives=directives)
     return final_fleet, final_plan

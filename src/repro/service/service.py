@@ -34,7 +34,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import GroupingMechanism
-from repro.core.plan import MulticastPlan, Transmission, WakeMethod
+from repro.core.plan import (
+    ADAPTED_CODE,
+    DirectiveArrays,
+    MulticastPlan,
+    Transmission,
+)
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.enb.arbiter import CapacityArbiter
@@ -350,6 +355,9 @@ class CampaignService:
         order = sorted(
             tx_indices, key=lambda i: (plan.transmissions[i].frame, i)
         )
+        # Shifts move transmissions, never directives: group the rows
+        # by window once for the whole pass.
+        rows = _rows_by_window(plan)
         for index in order:
             plan = campaign.pending.plan
             tx = plan.transmissions[index]
@@ -357,8 +365,10 @@ class CampaignService:
                 campaign.handle.id,
                 tx.frame,
                 tx.duration_frames,
-                pages=_window_pages(campaign.pending.fleet, plan, tx),
-                max_shift_frames=_max_shift(plan, tx),
+                pages=_window_pages(
+                    campaign.pending.fleet, plan.directives, rows[index]
+                ),
+                max_shift_frames=_max_shift(plan, tx, rows[index]),
             )
             if not decision.admitted:
                 raise CapacityError(
@@ -416,10 +426,19 @@ class CampaignService:
         )
 
 
+def _rows_by_window(plan: MulticastPlan) -> List[np.ndarray]:
+    """Directive row indices of each transmission, in row order."""
+    tx = plan.directives.transmission_indices
+    order = np.argsort(tx, kind="stable")
+    return np.split(
+        order, np.searchsorted(tx[order], np.arange(1, plan.n_transmissions))
+    )
+
+
 def _window_pages(
-    fleet: Fleet, plan: MulticastPlan, tx: Transmission
+    fleet: Fleet, directives: DirectiveArrays, rows: np.ndarray
 ) -> List[Tuple[int, int]]:
-    """Paging occasions (frame, subframe) the window's directives use.
+    """Paging occasions (frame, subframe) the window's directive ``rows`` use.
 
     One record per page or DR-SI notification, matching what
     ``ENodeB.pack_pages`` will emit for these directives (devices
@@ -427,28 +446,29 @@ def _window_pages(
     arbiter is deliberately conservative).
     """
     occasions: List[Tuple[int, int]] = []
-    for directive in plan.directives:
-        if directive.transmission_index != tx.index:
-            continue
-        subframe = fleet[directive.device_index].pattern.subframe
-        occasions.append((directive.page_frame, subframe))
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            occasions.append((directive.adaptation_page_frame, subframe))
+    for device, code, page, adaptation in zip(
+        directives.device_indices[rows].tolist(),
+        directives.methods[rows].tolist(),
+        directives.page_frames[rows].tolist(),
+        directives.adaptation_page_frames[rows].tolist(),
+    ):
+        subframe = fleet[device].pattern.subframe
+        occasions.append((page, subframe))
+        if code == ADAPTED_CODE:
+            occasions.append((adaptation, subframe))
     return occasions
 
 
-def _max_shift(plan: MulticastPlan, tx: Transmission) -> int:
+def _max_shift(plan: MulticastPlan, tx: Transmission, rows: np.ndarray) -> int:
     """Largest deferral keeping every member's wake inside the window.
 
-    A device that connects at frame ``c`` stays awake until ``c + TI``;
-    shifting the transmission to ``frame + s`` keeps it reachable iff
-    ``frame + s - TI <= c``. The window-wide cap is the minimum over
-    the members' connect frames.
+    ``rows`` are the window's directive rows. A device that connects at
+    frame ``c`` stays awake until ``c + TI``; shifting the transmission
+    to ``frame + s`` keeps it reachable iff ``frame + s - TI <= c``. The
+    window-wide cap is the minimum over the members' connect frames.
     """
+    if not rows.size:
+        return 0
     window_start = tx.frame - plan.inactivity_timer_frames
-    caps = [
-        directive.connect_frame - window_start
-        for directive in plan.directives
-        if directive.transmission_index == tx.index
-    ]
-    return max(0, min(caps)) if caps else 0
+    caps = plan.directives.connect_frames[rows] - window_start
+    return max(0, int(caps.min()))

@@ -1,10 +1,16 @@
 """Property-based tests: ladder algebra and PO-grid nesting."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.drx.cycles import FULL_LADDER, DrxCycle
-from repro.drx.paging import NB, pattern_for
+from repro.drx.paging import (
+    NB,
+    paging_frame_offset,
+    pattern_for,
+    v_paging_frame_offset,
+)
 
 ladder_cycles = st.sampled_from(list(FULL_LADDER))
 ue_ids = st.integers(min_value=0, max_value=4095)
@@ -61,3 +67,38 @@ class TestNestingProperty:
     @settings(max_examples=50)
     def test_pattern_deterministic(self, ue_id, cycle, nb):
         assert pattern_for(ue_id, cycle, nb) == pattern_for(ue_id, cycle, nb)
+
+
+class TestVectorisedPagingMixedNb:
+    """One vectorised phase derivation serves single- and mixed-nB fleets."""
+
+    @given(
+        st.lists(
+            st.tuples(ue_ids, ladder_cycles, st.sampled_from(list(NB))),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100)
+    def test_per_device_nb_columns_match_scalar(self, rows):
+        ue, cycles, nbs = zip(*rows)
+        vector = v_paging_frame_offset(
+            np.array(ue),
+            np.array([int(c) for c in cycles]),
+            (
+                np.array([nb.fraction.numerator for nb in nbs]),
+                np.array([nb.fraction.denominator for nb in nbs]),
+            ),
+        )
+        assert vector.tolist() == [
+            paging_frame_offset(u, c, nb) for u, c, nb in zip(ue, cycles, nbs)
+        ]
+
+    @given(ue_ids, ladder_cycles, st.sampled_from(list(NB)))
+    @settings(max_examples=100)
+    def test_cell_wide_nb_equals_its_columns(self, ue_id, cycle, nb):
+        ue, cycles = np.array([ue_id]), np.array([int(cycle)])
+        columns = (np.array([nb.fraction.numerator]), np.array([nb.fraction.denominator]))
+        assert v_paging_frame_offset(ue, cycles, nb).tolist() == (
+            v_paging_frame_offset(ue, cycles, columns).tolist()
+        )
